@@ -90,4 +90,20 @@ echo "== bench smoke (--test mode) =="
 # b12, b13 and b14 smokes assert their ≥2x reductions inline).
 cargo bench --workspace -- --test
 
+echo "== perfbench =="
+# The repository benchmark (BENCHMARK.json): its own tests, then a smoke run
+# of every workload, each failing unless the run's last line reports
+# "correct": true. Smoke runs write perfbench/out/*-smoke.json, so they
+# never overwrite a real run.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+for w in analytic_joins_0ms vital_writes_0ms paper_mix_1ms; do
+    echo "--  $w"
+    last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --smoke | tail -n 1)
+    if ! grep -q '"correct": true' <<<"$last"; then
+        echo "perfbench smoke of $w is not correct: $last"
+        exit 1
+    fi
+done
+
 echo "CI OK"

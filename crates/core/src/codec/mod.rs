@@ -6,8 +6,8 @@
 //! ([`varint`]) with columnar result-set payloads ([`columnar`]), encoded
 //! into buffers leased from a [`netsim::BufferPool`].
 //!
-//! **Negotiation.** The client picks the format per connection
-//! ([`crate::lamclient::LamClient::set_wire_format`], threaded down from
+//! **Negotiation.** The client picks the format per checkout
+//! ([`crate::lamclient::LamClient::configure`], threaded down from
 //! `Session.wire_format`); the LAM server simply mirrors whatever format a
 //! request arrived in, so mixed-format clients coexist and the bootstrap
 //! `PING` (sent before negotiation applies) always travels as text.

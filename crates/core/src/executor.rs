@@ -2,7 +2,8 @@
 //!
 //! The executor drives generated DOL programs through [`dol::DolEngine`]
 //! with [`crate::lamclient::LamFactory`] services, then shapes the raw task
-//! statuses/results into user-facing reports:
+//! statuses/results into user-facing reports. Every LAM client it uses is
+//! checked out of the session's [`ConnCache`]:
 //!
 //! * retrievals become [`Multitable`]s (one table per database, §2);
 //! * cross-database joins are executed by shipping partial results to the
@@ -11,14 +12,14 @@
 //! * updates and multitransactions report per-database termination states
 //!   and the DOL return code.
 
-use crate::codec::WireFormat;
+use crate::conns::ConnCache;
 use crate::error::MdbsError;
-use crate::lamclient::{decode_task_result, LamClient, LamFactory, PartialResult};
+use crate::lamclient::{decode_task_result, ClientConfig, LamFactory, PartialResult};
 use crate::merge;
 use crate::multitable::{Multitable, MultitableEntry};
 use crate::planner::{self, Estimate, PlannerContext};
 use crate::proto::{Request, Response, TaskMode};
-use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
+use crate::retry::{shared_stats, ExecStats, SharedExecStats};
 use crate::translate::{
     DbRoute, DbSubquery, Decomposition, GeneratedPlan, PushdownPlan, MTX_FAILED,
 };
@@ -30,11 +31,10 @@ use ldbs::eval::value_literal;
 use ldbs::value::Value;
 use msql_lang::printer::print_select;
 use msql_lang::{BinaryOp, ColumnRef, Expr, Literal, Select, SelectItem};
-use netsim::{FaultKind, Network};
-use obs::{labeled, ExplainReport, MetricsRegistry, Span, SpanCtx};
+use netsim::FaultKind;
+use obs::{labeled, ExplainReport, Span, SpanCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Default per-edge cap on the distinct key values shipped as a semi-join
 /// `IN (…)` filter. This is the *no-statistics fallback*: when the cost
@@ -164,17 +164,14 @@ impl MsqlOutcome {
 
 /// Executes generated plans against the federation's network.
 pub struct Executor {
-    /// The shared network.
-    pub net: Network,
+    /// The session's connections: every LAM client is checked out here.
+    pub conns: ConnCache,
+    /// Settings every client runs under: timeout, retry policy, the
+    /// session-level stats cell (every run merges its counters there), the
+    /// federation's metrics registry and the wire format.
+    pub config: ClientConfig,
     /// Whether DOL task batches run in parallel (one thread per service).
     pub parallel: bool,
-    /// Per-request timeout.
-    pub timeout: Duration,
-    /// Transient-fault retry policy for every LAM request this executor
-    /// issues.
-    pub retry: RetryPolicy,
-    /// Session-level accounting: every run merges its counters here.
-    pub stats: SharedExecStats,
     /// Graceful degradation: treat an unreachable LAM at OPEN time as a
     /// failed (but reported) subquery instead of failing the whole plan —
     /// the §3.2 vital semantics then decide the statement's fate.
@@ -196,11 +193,6 @@ pub struct Executor {
     /// Where execution spans hang (disabled unless the federation is
     /// tracing the statement).
     pub trace: SpanCtx,
-    /// Metrics sink shared with the federation.
-    pub metrics: MetricsRegistry,
-    /// Encoding every LAM request travels in: line-oriented text (the
-    /// default and the golden-trace format) or binary columnar frames.
-    pub wire_format: WireFormat,
     /// Site statistics for cost-based planning of cross-database joins.
     /// `None` (or a context lacking a table) keeps the heuristic data-flow
     /// decisions, byte-for-byte.
@@ -210,42 +202,24 @@ pub struct Executor {
     /// the settle decision, resolutions, END) so
     /// [`crate::Federation::recover`] can finish interrupted statements.
     pub wal: Option<Wal>,
+    /// Makes this statement's coordinator temporaries private: each partial
+    /// loads as `part_<db>_<suffix>`, so statements of concurrent sessions
+    /// never share one.
+    pub temp_suffix: String,
 }
 
 impl Executor {
-    /// An executor with default policies (no retries, fail fast on
-    /// unreachable services).
-    pub fn new(net: Network, parallel: bool, timeout: Duration) -> Self {
-        Executor {
-            net,
-            parallel,
-            timeout,
-            retry: RetryPolicy::default(),
-            stats: shared_stats(),
-            tolerate_unreachable: false,
-            semijoin: true,
-            semijoin_cap: DEFAULT_SEMIJOIN_CAP,
-            agg_pushdown: true,
-            trace: SpanCtx::disabled(),
-            metrics: MetricsRegistry::new(),
-            wire_format: WireFormat::default(),
-            planner: None,
-            wal: None,
-        }
-    }
-
     /// Runs the program, returning the DOL outcome plus this run's own
     /// communication accounting (also merged into the session stats).
     fn run_program(&self, plan: &GeneratedPlan) -> Result<(DolOutcome, ExecStats), MdbsError> {
         let run_stats = shared_stats();
         let factory = LamFactory {
-            net: self.net.clone(),
-            timeout: self.timeout,
-            retry: self.retry.clone(),
-            stats: SharedExecStats::clone(&run_stats),
-            metrics: self.metrics.clone(),
+            conns: self.conns.clone(),
+            config: ClientConfig {
+                stats: SharedExecStats::clone(&run_stats),
+                ..self.config.clone()
+            },
             tolerate_unreachable: self.tolerate_unreachable,
-            wire_format: self.wire_format,
         };
         let mut engine =
             if self.parallel { DolEngine::new(&factory) } else { DolEngine::serial(&factory) };
@@ -277,11 +251,19 @@ impl Executor {
         // Merge the run's accounting even when the program failed — the
         // faults that sank it are exactly what the session stats must show.
         let snapshot = run_stats.lock().clone();
-        self.stats.lock().merge(&snapshot);
+        self.config.stats.lock().merge(&snapshot);
         let out = result?;
         // END only on success: any error (including a simulated crash) leaves
-        // the image open so recovery re-resolves it.
-        if let Some((wal, mtx_id)) = logged {
+        // the image open so recovery re-resolves it. So does a task whose
+        // request went out but whose reply never came (every reply lost, or
+        // the LAM died mid-request): the LAM may hold it prepared or
+        // committed, so it is in doubt like an unacknowledged COMMIT, and
+        // recovery's RESOLVE settles it.
+        let in_doubt = plan.tasks.iter().any(|t| {
+            out.status(&t.task) == Some(TaskStatus::Error)
+                && snapshot.task(&t.task).is_some_and(|m| m.attempts > 0)
+        });
+        if let Some((wal, mtx_id)) = logged.filter(|_| !in_doubt) {
             wal.append(&WalRecord::End { mtx_id }).map_err(MdbsError::from)?;
         }
         Ok((out, snapshot))
@@ -331,7 +313,7 @@ impl Executor {
             .count() as u64;
         if degraded > 0 {
             stats.degraded += degraded;
-            self.stats.lock().degraded += degraded;
+            self.config.stats.lock().degraded += degraded;
         }
     }
 
@@ -442,7 +424,7 @@ impl Executor {
             .as_ref()
             .and_then(|ctx| dec.subqueries.iter().map(|s| ctx.estimate_subquery(s)).collect());
         if estimates.is_some() {
-            self.metrics.counter_add("planner.costed_joins", 1);
+            self.config.metrics.counter_add("planner.costed_joins", 1);
         }
 
         // Aggregate/top-k pushdown: when decomposition proved the query
@@ -529,7 +511,7 @@ impl Executor {
                             } else {
                                 "planner.edges_skipped"
                             };
-                            self.metrics.counter_add(verdict, 1);
+                            self.config.metrics.counter_add(verdict, 1);
                             ship
                         }
                         _ => values.len() <= self.semijoin_cap,
@@ -627,7 +609,9 @@ impl Executor {
             .subqueries
             .iter()
             .zip(results)
-            .map(|(sub, r)| (sub.part_table.clone(), r.expect("every subquery dispatched")))
+            .map(|(sub, r)| {
+                (self.temp_name(&sub.part_table), r.expect("every subquery dispatched"))
+            })
             .collect();
 
         // 3. Name the strategy and total savings on the join span/metrics.
@@ -644,21 +628,13 @@ impl Executor {
         if estimates.is_some() {
             join_span.note("planner", "costed");
         }
-        self.metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
-        self.metrics.counter_add("join.keys_shipped", keys_shipped);
+        self.config.metrics.counter_add(&labeled("join.strategy", "strategy", &strategy), 1);
+        self.config.metrics.counter_add("join.keys_shipped", keys_shipped);
         let route = routes.get(&dec.coordinator).ok_or_else(|| {
             MdbsError::Catalog(format!("no route for coordinator `{}`", dec.coordinator))
         })?;
         // 4. Collect the partial results at the coordinator.
-        let mut coord = LamClient::connect_with(
-            &self.net,
-            &route.site,
-            &dec.coordinator,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        )?;
-        coord.set_wire_format(self.wire_format);
+        let coord = self.conns.checkout(&route.site, &dec.coordinator, &self.config)?;
         {
             let span = join_span.child(format!("lam:collect:{}", dec.coordinator));
             span.note("db", &dec.coordinator);
@@ -682,24 +658,28 @@ impl Executor {
             .items
             .iter()
             .any(|i| matches!(i, SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)));
-        let sql = match &estimates {
-            Some(est) if n > 1 && !wildcard => {
-                let mut global = dec.global_query.clone();
-                let est_of = |tref: &msql_lang::TableRef| {
-                    dec.subqueries
-                        .iter()
-                        .position(|s| s.part_table == tref.table.as_str())
-                        .map_or(f64::MAX, |i| est[i].rows)
-                };
-                global.from.sort_by(|a, b| est_of(a).total_cmp(&est_of(b)));
-                if global.from != dec.global_query.from {
-                    let order: Vec<&str> = global.from.iter().map(|t| t.table.as_str()).collect();
-                    span.note("join_order", order.join(","));
-                }
-                print_select(&global)
+        let mut global = dec.global_query.clone();
+        if let Some(est) = estimates.as_ref().filter(|_| n > 1 && !wildcard) {
+            let est_of = |tref: &msql_lang::TableRef| {
+                dec.subqueries
+                    .iter()
+                    .position(|s| s.part_table == tref.table.as_str())
+                    .map_or(f64::MAX, |i| est[i].rows)
+            };
+            global.from.sort_by(|a, b| est_of(a).total_cmp(&est_of(b)));
+            if global.from != dec.global_query.from {
+                let order: Vec<&str> = global.from.iter().map(|t| t.table.as_str()).collect();
+                span.note("join_order", order.join(","));
             }
-            _ => print_select(&dec.global_query),
-        };
+        }
+        // Q' reads this statement's private temporaries, aliased back to
+        // the `part_<db>` names its column references use.
+        for tref in &mut global.from {
+            let part = tref.table.as_str().to_string();
+            tref.table = self.temp_name(&part).into();
+            tref.alias = Some(part);
+        }
+        let sql = print_select(&global);
         let req = Request::Task {
             name: "QGLOBAL".into(),
             mode: TaskMode::Auto,
@@ -725,12 +705,19 @@ impl Executor {
         }
     }
 
-    /// Connects to one subquery's LAM and evaluates it there, with `extra`
-    /// conjuncts (semi-join filters) ANDed onto its WHERE clause. When
-    /// filters were injected and `measure` is set, the LAM also measures the
-    /// unreduced subquery so the span/metrics can report bytes saved.
-    /// `est_rows` is the planner's pre-reduction row estimate, noted on the
-    /// partial span so EXPLAIN can show estimated vs. actual.
+    /// The name `part_table` loads under at the coordinator for this
+    /// statement.
+    fn temp_name(&self, part_table: &str) -> String {
+        format!("{part_table}_{}", self.temp_suffix)
+    }
+
+    /// Checks out one subquery's LAM connection and evaluates the subquery
+    /// there, with `extra` conjuncts (semi-join filters) ANDed onto its
+    /// WHERE clause. When filters were injected and `measure` is set, the
+    /// LAM also measures the unreduced subquery so the span/metrics can
+    /// report bytes saved. `est_rows` is the planner's pre-reduction row
+    /// estimate, noted on the partial span so EXPLAIN can show estimated
+    /// vs. actual.
     fn dispatch_partial(
         &self,
         sub: &DbSubquery,
@@ -740,16 +727,7 @@ impl Executor {
         est_rows: Option<u64>,
         ctx: &SpanCtx,
     ) -> Result<PartialResult, MdbsError> {
-        let mut client = LamClient::connect_with(
-            &self.net,
-            &route.site,
-            &sub.database,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        )?;
-        client.set_metrics(self.metrics.clone());
-        client.set_wire_format(self.wire_format);
+        let client = self.conns.checkout(&route.site, &sub.database, &self.config)?;
         let span = ctx.child(format!("lam:partial:{}", sub.database));
         if let Some(est) = est_rows {
             span.note("est_rows", est);
@@ -768,7 +746,9 @@ impl Executor {
         if result.full_bytes > 0 {
             let saved = result.full_bytes.saturating_sub(result.payload.len() as u64);
             span.note("saved", saved);
-            self.metrics.counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
+            self.config
+                .metrics
+                .counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
         }
         Ok(result)
     }
@@ -870,15 +850,15 @@ impl Executor {
         let shipped: u64 = parts.iter().map(|p| p.rows.len() as u64).sum();
         let bytes_saved: u64 =
             partials.iter().map(|p| p.full_bytes.saturating_sub(p.payload.len() as u64)).sum();
-        self.metrics.counter_add("agg.pushdown", 1);
+        self.config.metrics.counter_add("agg.pushdown", 1);
         let merged = match plan {
             PushdownPlan::Aggregate(p) => {
                 let rs = merge::merge_aggregate(p, &parts)?;
-                self.metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
+                self.config.metrics.counter_add("agg.groups_merged", rs.rows.len() as u64);
                 rs
             }
             PushdownPlan::TopK(p) => {
-                self.metrics.counter_add("topk.rows_shipped", shipped);
+                self.config.metrics.counter_add("topk.rows_shipped", shipped);
                 merge::merge_topk(p, &parts)?
             }
         };
@@ -888,17 +868,18 @@ impl Executor {
         if estimates.is_some() {
             join_span.note("planner", "costed");
         }
-        self.metrics
+        self.config
+            .metrics
             .counter_add(&labeled("join.strategy", "strategy", &format!("{kind}-pushdown")), 1);
         Ok(merged)
     }
 
-    /// Connects to one site's LAM and evaluates its *pushed* (pre-aggregated
-    /// or top-k-limited) subquery there. `est_rows` is the planner's
-    /// estimate for the site's *unpushed* partial, noted on the span so
-    /// EXPLAIN can contrast shipped rows against what full shipping would
-    /// have cost; when `measure` is set the LAM also measures (never ships)
-    /// the unpushed subquery for the same comparison.
+    /// Checks out one site's LAM connection and evaluates its *pushed*
+    /// (pre-aggregated or top-k-limited) subquery there. `est_rows` is the
+    /// planner's estimate for the site's *unpushed* partial, noted on the
+    /// span so EXPLAIN can contrast shipped rows against what full shipping
+    /// would have cost; when `measure` is set the LAM also measures (never
+    /// ships) the unpushed subquery for the same comparison.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_pushed(
         &self,
@@ -910,16 +891,7 @@ impl Executor {
         est_rows: Option<u64>,
         ctx: &SpanCtx,
     ) -> Result<PartialResult, MdbsError> {
-        let mut client = LamClient::connect_with(
-            &self.net,
-            &route.site,
-            &sub.database,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        )?;
-        client.set_metrics(self.metrics.clone());
-        client.set_wire_format(self.wire_format);
+        let client = self.conns.checkout(&route.site, &sub.database, &self.config)?;
         let span = ctx.child(format!("lam:partial:{}", sub.database));
         if let Some(est) = est_rows {
             span.note("est_rows", est);
@@ -933,7 +905,9 @@ impl Executor {
         if result.full_bytes > 0 {
             let saved = result.full_bytes.saturating_sub(result.payload.len() as u64);
             span.note("saved", saved);
-            self.metrics.counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
+            self.config
+                .metrics
+                .counter_add(&labeled("lam.bytes_saved", "db", &sub.database), saved);
         }
         Ok(result)
     }

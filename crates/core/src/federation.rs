@@ -15,11 +15,12 @@
 //!   pre-split code compiles unchanged.
 
 use crate::codec::WireFormat;
+use crate::conns::{Conn, ConnCache};
 use crate::error::MdbsError;
 use crate::executor::{DbOutcome, Executor, MsqlOutcome, UpdateReport, DEFAULT_SEMIJOIN_CAP};
 use crate::gtxn::GlobalTransaction;
 use crate::lam::{spawn_lam_with, LamConfig, LamHandle};
-use crate::lamclient::{LamClient, LamFactory};
+use crate::lamclient::{ClientConfig, LamFactory};
 use crate::planner::PlannerContext;
 use crate::retry::{shared_stats, ExecStats, RetryPolicy, SharedExecStats};
 use crate::scope::SessionScope;
@@ -94,12 +95,21 @@ pub struct FederationCore {
 }
 
 /// One user session on a federation: private scope, deferred-commit state,
-/// accounting, tracing and WAL, plus an `Arc` to the shared core. `Send`, so
-/// sessions move to worker threads; create them with [`Session::session`].
+/// LAM connections, accounting, tracing and WAL, plus an `Arc` to the shared
+/// core. `Send`, so sessions move to worker threads; create them with
+/// [`Session::session`].
 pub struct Session {
     /// Pending vital subqueries in deferred-commit mode. Declared before
     /// `core` so a drop-time rollback still finds live LAM threads.
     gtxn: GlobalTransaction,
+    /// This session's LAM connections, keyed by (site, database). Every
+    /// client the session uses is checked out here, so statements after
+    /// the first reach a LAM without a connect round trip. They close when
+    /// the session drops.
+    conns: ConnCache,
+    /// Numbers this session's executors, naming each statement's private
+    /// coordinator temporaries.
+    temp_seq: AtomicU64,
     /// §3.2.2 deferred-commit mode: vital subqueries stay prepared across
     /// statements until a synchronization point.
     deferred: bool,
@@ -243,6 +253,8 @@ impl Session {
     fn with_core(core: Arc<FederationCore>, id: u64) -> Session {
         Session {
             gtxn: GlobalTransaction::default(),
+            conns: ConnCache::new(core.net.clone()),
+            temp_seq: AtomicU64::new(0),
             deferred: false,
             scope: SessionScope::new(),
             trigger_depth: 0,
@@ -267,9 +279,9 @@ impl Session {
     }
 
     /// Opens a new independent session on the same federation core: fresh
-    /// scope, fresh accounting, no WAL, configuration copied from this
-    /// session. The handle is `Send` — move it to a worker thread and run
-    /// statements concurrently with every other session.
+    /// scope, fresh accounting, its own connections, no WAL, configuration
+    /// copied from this session. The handle is `Send` — move it to a worker
+    /// thread and run statements concurrently with every other session.
     pub fn session(&self) -> Session {
         let id = self.core.session_seq.fetch_add(1, Ordering::Relaxed);
         let mut s = Session::with_core(Arc::clone(&self.core), id);
@@ -435,22 +447,31 @@ impl Session {
         Ok(out)
     }
 
-    fn executor(&self) -> Executor {
-        Executor {
-            net: self.core.net.clone(),
-            parallel: self.parallel,
+    /// The settings every LAM client of this session runs under, applied
+    /// afresh on each checkout.
+    fn client_config(&self) -> ClientConfig {
+        ClientConfig {
             timeout: self.timeout,
             retry: self.retry.clone(),
             stats: SharedExecStats::clone(&self.stats),
+            metrics: self.core.metrics.clone(),
+            wire_format: self.wire_format,
+        }
+    }
+
+    fn executor(&self) -> Executor {
+        Executor {
+            conns: self.conns.clone(),
+            config: self.client_config(),
+            parallel: self.parallel,
             tolerate_unreachable: self.tolerate_unreachable,
             semijoin: self.semijoin,
             semijoin_cap: self.semijoin_cap,
             agg_pushdown: self.agg_pushdown,
             trace: self.trace_ctx.clone(),
-            metrics: self.core.metrics.clone(),
-            wire_format: self.wire_format,
             planner: None,
             wal: self.wal.clone(),
+            temp_suffix: format!("{}_{}", self.id, self.temp_seq.fetch_add(1, Ordering::Relaxed)),
         }
     }
 
@@ -582,36 +603,22 @@ impl Session {
         Ok(report)
     }
 
-    /// A LAM client for direct (non-DOL) traffic, wired to the
-    /// federation's retry policy and accounting.
-    fn connect(&self, site: &str, database: &str) -> Result<LamClient, MdbsError> {
-        let mut client = LamClient::connect_with(
-            &self.core.net,
-            site,
-            database,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        )?;
-        client.set_metrics(self.core.metrics.clone());
-        client.set_wire_format(self.wire_format);
-        Ok(client)
+    /// A LAM connection for direct (non-DOL) traffic, checked out of the
+    /// session's cache under its current settings.
+    fn connect(&self, site: &str, database: &str) -> Result<Conn, MdbsError> {
+        self.conns.checkout(site, database, &self.client_config())
     }
 
     /// Parses and executes a raw DOL program against the federation's
     /// services — the paper's intermediate language, exposed directly for
     /// hand-written evaluation plans and tooling. `OPEN <database> AT
-    /// <site>` statements resolve against the live network.
+    /// <site>` checks a connection out of the session's cache.
     pub fn execute_dol(&mut self, program: &str) -> Result<dol::DolOutcome, MdbsError> {
         let parsed = dol::parse_program(program)?;
         let factory = LamFactory {
-            net: self.core.net.clone(),
-            timeout: self.timeout,
-            retry: self.retry.clone(),
-            stats: SharedExecStats::clone(&self.stats),
-            metrics: self.core.metrics.clone(),
+            conns: self.conns.clone(),
+            config: self.client_config(),
             tolerate_unreachable: self.tolerate_unreachable,
-            wire_format: self.wire_format,
         };
         let mut engine = if self.parallel {
             dol::DolEngine::new(&factory)
@@ -1214,6 +1221,7 @@ impl Session {
         routes: &HashMap<String, DbRoute>,
     ) -> Result<MsqlOutcome, MdbsError> {
         let mut outcomes = Vec::with_capacity(locals.len());
+        let config = self.client_config();
         for l in locals {
             let route = routes
                 .get(&l.database)
@@ -1224,9 +1232,9 @@ impl Session {
                 if !route.supports_2pc && compensation.is_empty() {
                     return Err(MdbsError::VitalWithoutCompensation { database: l.key.clone() });
                 }
-                let client = self.connect(&route.site, &l.database)?;
+                let conns = &self.conns;
                 let (status, affected) = self.gtxn.execute_held(
-                    client,
+                    || conns.checkout(&route.site, &l.database, &config),
                     &l.key,
                     &l.database,
                     sql,

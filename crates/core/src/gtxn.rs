@@ -9,15 +9,16 @@
 //!
 //! In deferred-commit mode ([`crate::Federation::set_deferred_commit`]),
 //! vital subqueries join one open local transaction per database (one LAM
-//! connection each). Statements execute immediately inside those
-//! transactions; the *prepare* votes and the global decision happen only at
-//! the synchronization point. Autocommit-only members commit each statement
-//! right away and accumulate compensating commands, applied in reverse
-//! order on rollback.
+//! connection each, checked out of the session's connection cache and
+//! returned to it at the synchronization point). Statements execute
+//! immediately inside those transactions; the *prepare* votes and the
+//! global decision happen only at the synchronization point.
+//! Autocommit-only members commit each statement right away and accumulate
+//! compensating commands, applied in reverse order on rollback.
 
+use crate::conns::Conn;
 use crate::error::MdbsError;
 use crate::executor::{DbOutcome, UpdateReport};
-use crate::lamclient::LamClient;
 use crate::proto::{Request, Response, TaskMode};
 use dol::{DolService, TaskStatus};
 
@@ -35,7 +36,7 @@ struct Member {
     /// Task name of the open local transaction (TwoPhase members).
     task: String,
     kind: MemberKind,
-    client: LamClient,
+    client: Conn,
     /// False once any statement on this member failed.
     healthy: bool,
     affected: u64,
@@ -64,11 +65,12 @@ impl GlobalTransaction {
     }
 
     /// Executes one vital statement inside the global transaction. The
-    /// member for `key` is created on first use (using `client` — ignored
-    /// afterwards). Returns the interim status and rows affected.
+    /// member for `key` is created on first use, on the connection
+    /// `connect` checks out (later statements reuse the member's). Returns
+    /// the interim status and rows affected.
     pub fn execute_held(
         &mut self,
-        client: LamClient,
+        connect: impl FnOnce() -> Result<Conn, MdbsError>,
         key: &str,
         database: &str,
         sql: String,
@@ -78,6 +80,7 @@ impl GlobalTransaction {
         let idx = match self.members.iter().position(|m| m.key == key) {
             Some(i) => i,
             None => {
+                let client = connect()?;
                 self.seq += 1;
                 let task = format!("G{}_{key}", self.seq);
                 let kind = if supports_2pc {
@@ -252,7 +255,9 @@ impl Drop for GlobalTransaction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conns::ConnCache;
     use crate::lam::spawn_lam;
+    use crate::lamclient::ClientConfig;
     use ldbs::profile::DbmsProfile;
     use ldbs::Engine;
     use netsim::Network;
@@ -268,8 +273,9 @@ mod tests {
         (net, lam)
     }
 
-    fn client(net: &Network) -> LamClient {
-        LamClient::connect(net, "site1", "db", Duration::from_secs(5)).unwrap()
+    fn client(net: &Network) -> impl FnOnce() -> Result<Conn, MdbsError> {
+        let cache = ConnCache::new(net.clone());
+        move || cache.checkout("site1", "db", &ClientConfig::new(Duration::from_secs(5)))
     }
 
     fn value(lam: &crate::lam::LamHandle) -> ldbs::value::Value {

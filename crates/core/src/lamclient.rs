@@ -4,9 +4,11 @@
 //! LAM: it implements [`dol::DolService`] by shipping [`crate::proto`]
 //! requests over the simulated network, and adds the data-flow operations
 //! the executor needs (schema fetch, partial-result loading at the
-//! coordinator).
+//! coordinator). Sessions keep their clients in a
+//! [`crate::conns::ConnCache`], so one connection serves many statements.
 
 use crate::codec::{self, WireFormat};
+use crate::conns::ConnCache;
 use crate::error::MdbsError;
 use crate::proto::{self, Request, Response, TaskMode};
 use crate::retry::{shared_stats, RetryPolicy, SharedExecStats};
@@ -15,7 +17,7 @@ use dol::TaskStatus;
 use dol::{DolError, DolService, ServiceFactory};
 use netsim::{Body, BufferPool, Endpoint, FaultKind, NetError, Network};
 use obs::{labeled, MetricsRegistry, Span};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 static CLIENT_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -64,6 +66,36 @@ pub struct PartialResult {
     pub access: Option<String>,
 }
 
+/// The settings a [`LamClient`] runs under. Each owner (a session, an
+/// executor, a DOL factory) applies its current ones on every checkout from
+/// a [`ConnCache`], so a reused connection behaves exactly like a new one.
+#[derive(Clone)]
+pub struct ClientConfig {
+    /// Per-request timeout.
+    pub timeout: Duration,
+    /// Transient-fault retry policy.
+    pub retry: RetryPolicy,
+    /// Stats cell the client records its calls into.
+    pub stats: SharedExecStats,
+    /// Metrics sink for the client's `lam.*` and `wire.*` series.
+    pub metrics: MetricsRegistry,
+    /// Request encoding (the LAM mirrors it in replies).
+    pub wire_format: WireFormat,
+}
+
+impl ClientConfig {
+    /// Fail-fast defaults: no retries, private stats and metrics, text.
+    pub fn new(timeout: Duration) -> Self {
+        ClientConfig {
+            timeout,
+            retry: RetryPolicy::default(),
+            stats: shared_stats(),
+            metrics: MetricsRegistry::new(),
+            wire_format: WireFormat::default(),
+        }
+    }
+}
+
 /// One connection to a LAM, bound to a database on that service.
 pub struct LamClient {
     endpoint: Endpoint,
@@ -77,13 +109,16 @@ pub struct LamClient {
     /// Shared fault/retry accounting.
     stats: SharedExecStats,
     /// Metrics sink for `lam.*` series (a private registry unless attached
-    /// to a federation's via [`Self::set_metrics`]).
+    /// to a federation's via [`Self::configure`]).
     metrics: MetricsRegistry,
     /// Encoding used for requests (the server mirrors it in replies). Text
-    /// unless negotiated up via [`Self::set_wire_format`].
+    /// unless negotiated up via [`Self::configure`].
     wire_format: WireFormat,
     /// Lease pool for binary frame buffers.
     pool: BufferPool,
+    /// Set once a request met a terminal fault: the LAM is gone, so a
+    /// connection cache drops this client instead of keeping it.
+    terminal: AtomicBool,
 }
 
 /// One attempt's failure: a classified network fault, or a protocol error
@@ -135,6 +170,7 @@ impl LamClient {
             metrics: MetricsRegistry::new(),
             wire_format: WireFormat::default(),
             pool: BufferPool::default(),
+            terminal: AtomicBool::new(false),
         };
         // The bootstrap PING always travels as text: negotiation is applied
         // by the owner after connect, and text is the universal fallback.
@@ -149,16 +185,25 @@ impl LamClient {
         SharedExecStats::clone(&self.stats)
     }
 
-    /// Points the client's `lam.*` metric series at a shared registry.
-    pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
-        self.metrics = metrics;
+    /// Applies an owner's settings. The LAM mirrors whatever format each
+    /// request arrives in, so switching the encoding needs no server-side
+    /// coordination and may happen between any two calls.
+    pub fn configure(&mut self, config: &ClientConfig) {
+        self.timeout = config.timeout;
+        self.retry = config.retry.clone();
+        self.stats = SharedExecStats::clone(&config.stats);
+        self.metrics = config.metrics.clone();
+        self.wire_format = config.wire_format;
     }
 
-    /// Switches the request encoding. The LAM mirrors whatever format each
-    /// request arrives in, so this needs no server-side coordination and may
-    /// change between calls.
-    pub fn set_wire_format(&mut self, format: WireFormat) {
-        self.wire_format = format;
+    /// The site this connection talks to.
+    pub fn site(&self) -> &str {
+        &self.site
+    }
+
+    /// True once a request met a terminal fault (the LAM is gone).
+    pub fn saw_terminal_fault(&self) -> bool {
+        self.terminal.load(Ordering::Relaxed)
     }
 
     /// The request encoding in use.
@@ -239,6 +284,7 @@ impl LamClient {
                     faults.push(kind);
                     last_net = Some(e);
                     if kind == FaultKind::Terminal {
+                        self.terminal.store(true, Ordering::Relaxed);
                         break;
                     }
                 }
@@ -729,62 +775,41 @@ impl DolService for LamClient {
     }
 }
 
-/// [`ServiceFactory`] for DOL programs: `OPEN <database> AT <site>` becomes
-/// a [`LamClient`] bound to that database.
+/// [`ServiceFactory`] for DOL programs: `OPEN <database> AT <site>` checks
+/// a [`LamClient`] bound to that database out of the session's
+/// [`ConnCache`] — a lookup when the session already holds one.
 pub struct LamFactory {
-    /// The shared network.
-    pub net: Network,
-    /// Per-request timeout.
-    pub timeout: Duration,
-    /// Retry policy handed to every client this factory opens.
-    pub retry: RetryPolicy,
-    /// Stats cell shared by every client this factory opens.
-    pub stats: SharedExecStats,
-    /// Metrics registry shared by every client this factory opens.
-    pub metrics: MetricsRegistry,
+    /// Where OPEN takes its connections from.
+    pub conns: ConnCache,
+    /// Settings every opened client runs under.
+    pub config: ClientConfig,
     /// Graceful degradation: when set, a service whose LAM cannot be
     /// reached at OPEN time yields a stub that reports every task as failed
     /// instead of failing the whole plan — the §3.2 vital semantics then
     /// decide whether the statement survives the loss.
     pub tolerate_unreachable: bool,
-    /// Wire format handed to every client this factory opens.
-    pub wire_format: WireFormat,
 }
 
 impl LamFactory {
-    /// A factory with the default (no-retry, fail-fast) behaviour.
+    /// A factory over a private connection cache with the default
+    /// (no-retry, fail-fast) behaviour.
     pub fn new(net: Network, timeout: Duration) -> Self {
         LamFactory {
-            net,
-            timeout,
-            retry: RetryPolicy::default(),
-            stats: shared_stats(),
-            metrics: MetricsRegistry::new(),
+            conns: ConnCache::new(net),
+            config: ClientConfig::new(timeout),
             tolerate_unreachable: false,
-            wire_format: WireFormat::default(),
         }
     }
 }
 
 impl ServiceFactory for LamFactory {
     fn connect(&self, service: &str, site: &str) -> Result<Box<dyn DolService>, DolError> {
-        match LamClient::connect_with(
-            &self.net,
-            site,
-            service,
-            self.timeout,
-            self.retry.clone(),
-            SharedExecStats::clone(&self.stats),
-        ) {
-            Ok(mut client) => {
-                client.set_metrics(self.metrics.clone());
-                client.set_wire_format(self.wire_format);
-                Ok(Box::new(client))
-            }
+        match self.conns.checkout(site, service, &self.config) {
+            Ok(conn) => Ok(Box::new(conn)),
             Err(e) if self.tolerate_unreachable => Ok(Box::new(UnreachableService {
                 site: site.to_string(),
                 reason: e.to_string(),
-                stats: SharedExecStats::clone(&self.stats),
+                stats: SharedExecStats::clone(&self.config.stats),
             })),
             Err(e) => {
                 Err(DolError::OpenFailed { service: service.to_string(), reason: e.to_string() })
@@ -975,7 +1000,7 @@ mod tests {
         assert_eq!(exec.status, TaskStatus::Error);
         assert!(exec.error.unwrap().contains("unreachable"));
         assert!(svc.commit_task("NV").is_ok(), "no-op on a task that never ran");
-        let stats = factory.stats.lock();
+        let stats = factory.config.stats.lock();
         assert_eq!(stats.terminal_faults, 1);
         assert_eq!(stats.task("NV").unwrap().fault, Some(netsim::FaultKind::Terminal));
     }

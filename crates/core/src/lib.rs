@@ -38,7 +38,8 @@
 //!   compensation and §3.4 multitransactions;
 //! * [`lam`] / [`lamclient`] — Local Access Managers: server threads wrapping
 //!   an [`ldbs::Engine`] behind the simulated network, and the client side
-//!   implementing [`dol::DolService`];
+//!   implementing [`dol::DolService`], checked out of each session's
+//!   [`conns::ConnCache`];
 //! * [`multitable`] — the multitable result type (a *set* of tables, one per
 //!   database, as §2 defines) and its wire format;
 //! * [`mtx`] — acceptable-termination-state evaluation for
@@ -68,6 +69,7 @@
 //! ```
 
 pub mod codec;
+pub mod conns;
 pub mod error;
 pub mod executor;
 pub mod federation;

@@ -173,6 +173,12 @@ pub fn merge_aggregate(plan: &AggPushdown, parts: &[ResultSet]) -> Result<Result
                     int_value(&lrow[cnt_idx[0]], "group count")?,
                     int_value(&rrow[cnt_idx[1]], "group count")?,
                 ];
+                // A zero-count partial is a site's grand total over no rows
+                // (it has neither join nor group keys): it stands for no
+                // rows, so it joins nothing and opens no group.
+                if cnt[0] == 0 || cnt[1] == 0 {
+                    continue;
+                }
                 let gkey =
                     KeyTuple(slot_src.iter().map(|&(si, ci)| row_of(si)[ci].clone()).collect());
                 let acc = groups.entry(gkey).or_insert_with(|| GroupAcc::new(plan.aggs.len()));

@@ -672,8 +672,10 @@ impl dol::TaskObserver for WalObserver {
     fn task_executed(&self, task: &TaskDef, status: TaskStatus) -> Result<(), DolError> {
         match status {
             // 'P' is the in-doubt state; 'C' (autocommit) can only be undone
-            // by compensation, so recovery must know it happened. Aborted or
-            // errored tasks left nothing behind — presumed abort covers them.
+            // by compensation, so recovery must know it happened. Aborted
+            // tasks left nothing behind — presumed abort covers them. So do
+            // errored ones, once recovery RESOLVEs them: the executor keeps
+            // the image open when an errored task's request went out.
             TaskStatus::Prepared | TaskStatus::Committed => {
                 self.wal.append(&WalRecord::TaskPrepared {
                     mtx_id: self.mtx_id,

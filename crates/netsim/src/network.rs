@@ -73,6 +73,12 @@ impl Network {
         self.fabric.sites.write().remove(name);
     }
 
+    /// True while a site of this name is registered. A stopped LAM
+    /// deregisters itself, so this is a message-free liveness check.
+    pub fn is_registered(&self, name: &str) -> bool {
+        self.fabric.sites.read().contains_key(name)
+    }
+
     /// Installs a latency model.
     pub fn set_latency(&self, model: LatencyModel) {
         *self.fabric.latency.write() = model;
@@ -136,7 +142,9 @@ impl Network {
         }
     }
 
-    /// Partitions two sites (both directions refuse sends).
+    /// Partitions two sites (both directions refuse sends). Either side may
+    /// be the wildcard `"*"`, cutting one site off from every peer
+    /// (including client endpoints whose names are not known in advance).
     pub fn partition(&self, a: &str, b: &str) {
         let mut p = self.fabric.partitions.write();
         p.insert((a.to_string(), b.to_string()));
@@ -209,7 +217,14 @@ impl Endpoint {
     /// behaviour.
     pub fn send(&self, to: &str, body: impl Into<Body>) -> Result<(), NetError> {
         let body = body.into();
-        if self.fabric.partitions.read().contains(&(self.name.clone(), to.to_string())) {
+        let partitioned = {
+            let cuts = self.fabric.partitions.read();
+            !cuts.is_empty()
+                && [(self.name.as_str(), to), ("*", to), (self.name.as_str(), "*")]
+                    .iter()
+                    .any(|&(a, b)| cuts.contains(&(a.to_string(), b.to_string())))
+        };
+        if partitioned {
             self.fabric.stats.lock().refused += 1;
             self.probe_event("net.refused", None);
             return Err(NetError::Partitioned { from: self.name.clone(), to: to.to_string() });
@@ -347,6 +362,33 @@ mod tests {
         a.send("b", "x").unwrap();
         assert_eq!(b.recv().unwrap().body, "x");
         assert_eq!(net.stats().refused, 2);
+    }
+
+    #[test]
+    fn wildcard_partition_cuts_a_site_off_from_every_peer() {
+        let net = Network::new();
+        let a = net.register("a").unwrap();
+        let b = net.register("b").unwrap();
+        let c = net.register("c").unwrap();
+        net.partition("*", "b");
+        assert!(matches!(a.send("b", "x"), Err(NetError::Partitioned { .. })));
+        assert!(matches!(b.send("c", "x"), Err(NetError::Partitioned { .. })));
+        a.send("c", "x").unwrap();
+        assert_eq!(c.recv().unwrap().body, "x");
+        net.heal("*", "b");
+        a.send("b", "y").unwrap();
+        assert_eq!(b.recv().unwrap().body, "y");
+    }
+
+    #[test]
+    fn registration_is_observable_without_traffic() {
+        let net = Network::new();
+        assert!(!net.is_registered("a"));
+        let _a = net.register("a").unwrap();
+        assert!(net.is_registered("a"));
+        net.deregister("a");
+        assert!(!net.is_registered("a"));
+        assert_eq!(net.stats().messages, 0);
     }
 
     #[test]

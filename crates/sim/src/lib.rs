@@ -130,6 +130,10 @@ pub struct SimConfig {
     pub drop_sites: Vec<&'static str>,
     /// Per-message drop probability on those links.
     pub drop_p: f64,
+    /// After recovery, run the scenario once more on the same session: the
+    /// LAM connections the crashed statement and recovery used stay cached
+    /// and must serve it.
+    pub rerun: bool,
 }
 
 impl SimConfig {
@@ -141,12 +145,20 @@ impl SimConfig {
             recovery_crash: None,
             drop_sites: Vec::new(),
             drop_p: 0.0,
+            rerun: false,
         }
     }
 
     /// A schedule with no crash and no loss (baseline).
     pub fn clean(seed: u64) -> Self {
-        SimConfig { seed, crash: None, recovery_crash: None, drop_sites: Vec::new(), drop_p: 0.0 }
+        SimConfig {
+            seed,
+            crash: None,
+            recovery_crash: None,
+            drop_sites: Vec::new(),
+            drop_p: 0.0,
+            rerun: false,
+        }
     }
 }
 
@@ -164,6 +176,10 @@ pub struct SimOutcome {
     pub recovery_passes: u32,
     /// Total WAL records at the end.
     pub wal_records: usize,
+    /// LAM connections opened from the first statement on. The fixture's
+    /// IMPORTs leave one cached per database, so a run that only reuses
+    /// them reports 0.
+    pub connects: u64,
 }
 
 fn build_federation(scenario: &Scenario, cfg: &SimConfig) -> Federation {
@@ -204,6 +220,7 @@ const MAX_RECOVERY_PASSES: u32 = 5;
 /// adds the replay command.
 pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
     let mut fed = build_federation(scenario, cfg);
+    let opened = fed.metrics_registry().counter("conn.opened");
     let wal = fed.enable_wal();
     if let Some(plan) = cfg.crash {
         wal.arm_crash(plan);
@@ -269,18 +286,12 @@ pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
         }
     }
 
-    // No-orphan invariant: every prepared subtransaction everywhere has
-    // been settled — nothing waits forever for a dead coordinator.
-    for service in SERVICES {
-        let engine = fed.engine(service).expect("fixture service exists");
-        let orphans = engine.lock().prepared_txns();
-        if !orphans.is_empty() {
-            return Err(format!(
-                "[{}] ORPHANED prepared transactions at `{service}` after recovery: {orphans:?}; \
-                 exec_error={exec_error:?}; cfg={cfg:?}",
-                scenario.name
-            ));
-        }
+    check_no_orphans(&fed, scenario, "recovery", &exec_error, cfg)?;
+    if cfg.rerun {
+        fed.execute(scenario.msql).map_err(|e| {
+            format!("[{}] rerun after recovery failed: {e}; cfg={cfg:?}", scenario.name)
+        })?;
+        check_no_orphans(&fed, scenario, "the rerun", &exec_error, cfg)?;
     }
 
     Ok(SimOutcome {
@@ -289,7 +300,31 @@ pub fn run(scenario: &Scenario, cfg: &SimConfig) -> Result<SimOutcome, String> {
         recovered,
         recovery_passes: passes,
         wal_records: wal.record_count(),
+        connects: fed.metrics_registry().counter("conn.opened") - opened,
     })
+}
+
+/// No-orphan invariant: every prepared subtransaction everywhere has been
+/// settled — nothing waits forever for a dead coordinator.
+fn check_no_orphans(
+    fed: &Federation,
+    scenario: &Scenario,
+    after: &str,
+    exec_error: &Option<String>,
+    cfg: &SimConfig,
+) -> Result<(), String> {
+    for service in SERVICES {
+        let engine = fed.engine(service).expect("fixture service exists");
+        let orphans = engine.lock().prepared_txns();
+        if !orphans.is_empty() {
+            return Err(format!(
+                "[{}] ORPHANED prepared transactions at `{service}` after {after}: {orphans:?}; \
+                 exec_error={exec_error:?}; cfg={cfg:?}",
+                scenario.name
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The crash-point space of a scenario: the number of WAL records a
@@ -355,7 +390,7 @@ pub fn schedule_for_seed(seed: u64, points: &[(Scenario, usize)]) -> (Scenario, 
         }
     };
     let drop_p = if drop_sites.is_empty() { 0.0 } else { [0.1, 0.2, 0.3][rng.below(3) as usize] };
-    (scenario, SimConfig { seed, crash, recovery_crash: None, drop_sites, drop_p })
+    (scenario, SimConfig { seed, crash, recovery_crash: None, drop_sites, drop_p, rerun: false })
 }
 
 /// The seed range a sweep test runs: `SIM_SEEDS=a..b` overrides the

@@ -30,6 +30,30 @@ fn sweep(scenario: &sim::Scenario) {
     }
 }
 
+/// The coordinator crashes while holding cached LAM connections. The
+/// crashed statement returns them to the session's cache, recovery settles
+/// the interrupted statement over them, and the same session then runs the
+/// scenario again on them: no reconnect anywhere, both invariants hold.
+#[test]
+fn cached_connections_outlive_a_crashed_statement() {
+    for scenario in [&Q2_VITAL_UPDATE, &Q3_COMP_UPDATE, &Q4_TRAVEL_AGENT] {
+        let n = crash_point_count(scenario);
+        for at in 0..n {
+            for when in [CrashWhen::Before, CrashWhen::After] {
+                let cfg = SimConfig {
+                    rerun: true,
+                    ..SimConfig::crash_only(SWEEP_SEED, CrashPlan { at, when })
+                };
+                let out = run(scenario, &cfg).unwrap_or_else(|e| {
+                    panic!("[{}] crash point {at}/{n} {when:?}:\n{e}", scenario.name)
+                });
+                assert!(out.crashed, "[{}] point {at} {when:?} did not fire", scenario.name);
+                assert_eq!(out.connects, 0, "[{}] point {at} {when:?} reconnected", scenario.name);
+            }
+        }
+    }
+}
+
 #[test]
 fn q2_vital_update_survives_every_crash_point() {
     sweep(&Q2_VITAL_UPDATE);
@@ -63,6 +87,7 @@ fn q4_recovery_survives_crashing_again_mid_resolve() {
                 recovery_crash: Some(CrashPlan { at: recovery_at, when }),
                 drop_sites: Vec::new(),
                 drop_p: 0.0,
+                rerun: false,
             };
             let out = run(&Q4_TRAVEL_AGENT, &cfg).unwrap_or_else(|e| {
                 panic!("[q4] double crash at {at}, recovery crash at {recovery_at} {when:?}:\n{e}")

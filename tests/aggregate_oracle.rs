@@ -32,7 +32,7 @@ struct Scenario {
     query: usize,
 }
 
-const N_QUERIES: usize = 5;
+const N_QUERIES: usize = 6;
 
 fn scenario() -> impl Strategy<Value = Scenario> {
     let opt = || prop::option::of(0i64..7);
@@ -46,7 +46,8 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 
 /// The query shapes: 0–2 are decomposable aggregates (plain, grand total,
 /// ordered + limited), 3 is a pure-product top-k, 4 is a single-site
-/// degenerate that never decomposes (pushdown must be a no-op).
+/// degenerate that never decomposes (pushdown must be a no-op), 5 is a
+/// pure-product GROUP BY (the site without group keys ships a grand total).
 fn query_sql(q: usize) -> &'static str {
     match q {
         0 => {
@@ -66,6 +67,7 @@ fn query_sql(q: usize) -> &'static str {
              ORDER BY t.v DESC, u.w LIMIT 4"
         }
         4 => "SELECT t.g, COUNT(*), SUM(t.v) FROM avis.t1 t GROUP BY t.g",
+        5 => "SELECT t.g, COUNT(*), SUM(u.w) FROM avis.t1 t, national.t2 u GROUP BY t.g",
         _ => unreachable!(),
     }
 }
@@ -196,12 +198,12 @@ fn reference(s: &Scenario) -> Vec<Vec<Value>> {
             rows
         }
         _ => {
-            // Equi-join on k, then aggregate.
+            // Equi-join on k (shape 5: the full product), then aggregate.
             let mut groups: BTreeMap<i64, Acc> = BTreeMap::new();
             let mut total = Acc::default();
             for (k1, g, v) in &s.t1 {
                 for (k2, w) in &s.t2 {
-                    if k1 == k2 {
+                    if k1 == k2 || s.query == 5 {
                         groups.entry(*g).or_default().add(*v, *w);
                         total.add(*v, *w);
                     }
@@ -237,6 +239,10 @@ fn reference(s: &Scenario) -> Vec<Vec<Value>> {
                     rows.truncate(2);
                     rows
                 }
+                5 => groups
+                    .into_iter()
+                    .map(|(g, a)| vec![Value::Int(g), Value::Int(a.count), int_or_null(a.sum_w)])
+                    .collect(),
                 _ => unreachable!(),
             }
         }
@@ -268,6 +274,9 @@ proptest! {
 }
 
 /// The degenerate shapes the strategy may under-sample, pinned exactly once.
+/// The last pair pins a pure product over an empty site: its pushed grand
+/// total ships one zero-count row, which once merged as if it were a row
+/// (`[[0, 0], [1, 0]]` instead of no rows).
 #[test]
 fn empty_sites_and_all_null_columns_agree() {
     for query in 0..N_QUERIES {
@@ -275,6 +284,7 @@ fn empty_sites_and_all_null_columns_agree() {
             (vec![], vec![]),                                    // both sites empty
             (vec![(1, 0, None), (1, 1, None)], vec![(1, None)]), // all-NULL aggregates
             (vec![(1, 0, Some(3))], vec![]),                     // one empty site
+            (vec![(1, 0, Some(3)), (1, 1, Some(4))], vec![]),    // two groups, empty site
         ] {
             let s = Scenario { t1, t2, query };
             let expected = reference(&s);

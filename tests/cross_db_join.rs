@@ -242,3 +242,50 @@ fn join_with_empty_partial_result() {
         .unwrap();
     assert!(rs.rows.is_empty());
 }
+
+/// Two sessions run the same two-site join shape at once, each with its own
+/// filter, many times over a 1 ms fabric (so their coordinator phases
+/// overlap). Each statement's partials load under names private to that
+/// statement, so every answer is its own session's: no `unknown table`
+/// error, no rows of the other session's filter, no leftover temporaries.
+#[test]
+fn concurrent_sessions_keep_their_coordinator_temporaries_apart() {
+    let net = netsim::Network::new();
+    net.set_latency(netsim::LatencyModel::uniform(std::time::Duration::from_millis(1)));
+    let mut fed = mdbs::fixtures::paper_federation_with(net, Default::default());
+    fed.execute("USE continental avis").unwrap();
+    let sql = |flnu: i64| {
+        format!(
+            "SELECT f.flnu, c.code FROM continental.flights f, avis.cars c
+             WHERE f.flnu = {flnu} AND c.rate < f.rate ORDER BY c.code"
+        )
+    };
+    let expected: Vec<Vec<Vec<Value>>> =
+        [1, 2].iter().map(|&n| fed.execute(&sql(n)).unwrap().into_table().unwrap().rows).collect();
+    assert_ne!(expected[0], expected[1], "the two filters must tell the sessions apart");
+    assert!(!expected[0].is_empty());
+
+    let sessions: Vec<mdbs::Session> = (0..2).map(|_| fed.session()).collect();
+    std::thread::scope(|scope| {
+        for (i, mut session) in sessions.into_iter().enumerate() {
+            let (sql, expected) = (sql(i as i64 + 1), expected[i].clone());
+            scope.spawn(move || {
+                session.execute("USE continental avis").unwrap();
+                for round in 0..40 {
+                    let rows = session
+                        .execute(&sql)
+                        .unwrap_or_else(|e| panic!("session {i}, round {round}: {e}"))
+                        .into_table()
+                        .unwrap()
+                        .rows;
+                    assert_eq!(rows, expected, "session {i}, round {round}");
+                }
+            });
+        }
+    });
+    for (svc, db) in [("svc_continental", "continental"), ("svc_avis", "avis")] {
+        let engine = fed.engine(svc).unwrap();
+        let names = engine.lock().database(db).unwrap().table_names();
+        assert!(names.iter().all(|n| !n.starts_with("part_")), "leftovers in {db}: {names:?}");
+    }
+}

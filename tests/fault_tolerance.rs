@@ -21,7 +21,7 @@ use mdbs::lam::spawn_lam;
 use mdbs::lamclient::LamClient;
 use mdbs::proto::{Request, Response, TaskMode};
 use mdbs::retry::shared_stats;
-use mdbs::{CrashPlan, CrashWhen, Federation, MdbsError, RetryPolicy};
+use mdbs::{CrashPlan, CrashWhen, Federation, MdbsError, RetryPolicy, Session};
 use netsim::{FaultKind, Network};
 use std::time::{Duration, Instant};
 
@@ -439,4 +439,146 @@ fn dead_lam_fails_fast_even_with_retries_enabled() {
         "terminal faults are not retried: {err:?}"
     );
     assert!(start.elapsed() < Duration::from_secs(1), "no timeout, no backoff loop");
+}
+
+// ---- Session-scoped connections ------------------------------------------
+//
+// A session keeps its LAM connections across statements. A dead LAM is
+// still caught at OPEN (its site is deregistered, so the cached connection
+// is evicted and the reconnect fails); a partition or lossy link is met by
+// the first request and handled by the retry policy.
+
+/// Q2 on a federation that lost `site` — before its first statement (a
+/// cold OPEN) or after one successful Q2 (a warm session holding a cached
+/// connection to it). The outcome is reduced to what §3.2 decides: per
+/// member status, attempts and last fault, or the statement's error.
+fn q2_after_losing(site: &str, warm: bool, tolerate: bool) -> Result<String, String> {
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.parallel = false;
+    fed.timeout = Duration::from_millis(300);
+    fed.tolerate_unreachable = tolerate;
+    // A fresh session (the primary one is warm from the fixture's IMPORTs).
+    let mut session = fed.session();
+    if warm {
+        assert!(session.execute(Q2).unwrap().into_update().unwrap().success);
+    }
+    let evicted = fed.metrics_registry().counter("conn.evicted");
+    fed.network().deregister(site);
+    let result = session.execute(Q2);
+    let evicted = fed.metrics_registry().counter("conn.evicted") - evicted;
+    assert_eq!(evicted, u64::from(warm), "only a warm session holds a connection to evict");
+    let outcome = result.map_err(|e| e.to_string())?.into_update().unwrap();
+    let members: Vec<String> = outcome
+        .outcomes
+        .iter()
+        .map(|o| format!("{}={:?}/{}/{:?}", o.key, o.status, o.attempts, o.fault))
+        .collect();
+    Ok(format!("success={} {}", outcome.success, members.join(" ")))
+}
+
+#[test]
+fn a_lam_lost_between_statements_fails_open_exactly_as_a_cold_open() {
+    // VITAL united (site3): the statement fails at OPEN, warm or cold.
+    let cold = q2_after_losing("site3", false, false);
+    assert!(cold.as_ref().is_err_and(|e| e.contains("site3")), "{cold:?}");
+    assert_eq!(q2_after_losing("site3", true, false), cold);
+
+    // Tolerated, a lost VITAL member still sinks the statement.
+    let cold = q2_after_losing("site3", false, true).unwrap();
+    assert!(cold.starts_with("success=false"), "{cold}");
+    assert!(cold.contains("united=Error/0/Some(Terminal)"), "{cold}");
+    assert_eq!(q2_after_losing("site3", true, true).unwrap(), cold);
+
+    // Tolerated, NON VITAL delta (site2) degrades with attempts == 0.
+    let cold = q2_after_losing("site2", false, true).unwrap();
+    assert!(cold.starts_with("success=true"), "{cold}");
+    assert!(cold.contains("delta=Error/0/Some(Terminal)"), "{cold}");
+    assert_eq!(q2_after_losing("site2", true, true).unwrap(), cold);
+}
+
+#[test]
+fn a_partition_after_warm_up_is_met_by_the_first_request_and_retried() {
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.parallel = false;
+    fed.timeout = Duration::from_millis(150);
+    fed.retry = RetryPolicy::retries(3);
+    assert!(fed.execute(Q2).unwrap().into_update().unwrap().success);
+    let opened = fed.metrics_registry().counter("conn.opened");
+    let before =
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1");
+
+    // united (site3, VITAL) is cut off from every peer. OPEN is a cache
+    // lookup, so the TASK request is what meets the partition.
+    fed.network().partition("*", "site3");
+    let report = fed.execute(Q2).unwrap().into_update().unwrap();
+    assert!(!report.success, "a partitioned VITAL member fails the statement: {report:?}");
+    let united = report.outcomes.iter().find(|o| o.key == "united").unwrap();
+    assert_eq!(united.attempts, 3, "retried per the policy: {united:?}");
+    assert_eq!(united.fault, Some(FaultKind::Transient), "{united:?}");
+    assert!(report.stats.retries >= 2, "{:?}", report.stats);
+    assert_eq!(
+        rate(&fed, "svc_continental", "continental", "SELECT rate FROM flights WHERE flnu = 1"),
+        before,
+        "continental rolled back with its vital partner unreachable"
+    );
+
+    // The partition heals; the cached connections carry on (a transient
+    // fault does not discard them).
+    fed.network().heal("*", "site3");
+    assert!(fed.execute(Q2).unwrap().into_update().unwrap().success);
+    assert_eq!(fed.metrics_registry().counter("conn.opened"), opened, "no reconnect");
+}
+
+/// Counts the request attempts (`rpc` spans) of the last statement.
+fn rpc_spans(session: &Session) -> u64 {
+    session.last_trace().unwrap().render().lines().filter(|l| l.contains("rpc [")).count() as u64
+}
+
+#[test]
+fn a_warm_rerun_of_q2_sends_no_ping() {
+    let fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    // A fresh session: the federation's primary one is already warm from
+    // the fixture's IMPORTs.
+    let mut session = fed.session();
+    let messages = || fed.metrics_registry().counter("net.messages");
+
+    let m0 = messages();
+    assert!(session.execute(Q2).unwrap().into_update().unwrap().success);
+    let cold = messages() - m0;
+    let requests = rpc_spans(&session);
+    assert_eq!(requests, 5, "3 TASKs and 2 COMMITs");
+    assert_eq!(cold, 2 * (requests + 3), "a cold session PINGs each of its 3 OPENs");
+
+    let m1 = messages();
+    assert!(session.execute(Q2).unwrap().into_update().unwrap().success);
+    assert_eq!(rpc_spans(&session), requests);
+    assert_eq!(messages() - m1, 2 * requests, "warm: one request and one reply each");
+}
+
+/// united's LAM prepares T3, but every reply to it is lost: the coordinator
+/// sees an error, yet the LAM holds the subtransaction prepared. The task
+/// is in doubt, so its log image stays open and recovery rolls it back —
+/// no prepared transaction outlives the statement's resolution.
+#[test]
+fn a_first_phase_task_whose_replies_are_all_lost_is_resolved_by_recovery() {
+    let mut fed = paper_federation_with(Network::new(), FederationProfiles::default());
+    fed.parallel = false;
+    fed.timeout = Duration::from_millis(100);
+    fed.retry = RetryPolicy::retries(3);
+    let wal = fed.enable_wal();
+    fed.network().drop_next("site3", "*", 3);
+
+    let report = fed.execute(Q2).unwrap().into_update().unwrap();
+    assert!(!report.success, "{report:?}");
+    let united = report.outcomes.iter().find(|o| o.key == "united").unwrap();
+    assert_eq!((united.status, united.attempts), (TaskStatus::Error, 3), "{united:?}");
+    let engine = fed.engine("svc_united").unwrap();
+    assert_eq!(engine.lock().prepared_txns().len(), 1, "the LAM holds T3 prepared");
+    assert!(wal.replay().unwrap().iter().any(|image| !image.ended), "T3 is in doubt");
+
+    let recovered = fed.recover().unwrap();
+    assert_eq!(recovered.recovered.len(), 1);
+    assert_eq!(recovered.recovered[0].statuses.get("T3"), Some(&TaskStatus::Aborted));
+    assert!(recovered.recovered[0].is_consistent());
+    assert!(engine.lock().prepared_txns().is_empty(), "recovery rolled T3 back");
 }
